@@ -9,7 +9,7 @@ and S5-x-scalar canonicalization leave four families at p = 5 and one at
 p = 7, and each surviving family is certified singular by an exact symbolic
 certificate at an explicit point.
 
-Run:  python demos/03_vector_field_search.py   (about half a minute)
+Run:  python demos/03_vector_field_search.py   (about a second)
 """
 
 import time

@@ -9,7 +9,9 @@ failed, 2 means a usage error.
 Configuration: flags override a TOML config file (--config, default
 gmlab.toml in the working directory if present), which overrides defaults.
 The vf search cache is content-addressed by the weight-matrix hash and the
-prime filter; GMLAB_CACHE_DIR or --cache chooses where it lives.
+prime filter; GMLAB_CACHE_DIR or --cache chooses where it lives.  A cache
+built for another prime filter, schema or weight matrix is recomputed and
+overwritten.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from . import bott, ckmotives, gmlag, lattice, ledger, suite, vfsearch
 from .bott import BundleSpec
-from .exact import QQ
+from .exact import QQ, is_prime
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -165,22 +167,37 @@ def _cache_path(args, p_filter) -> Path | None:
     return Path(cache_dir) / f"vfsearch-{e_hash}-{tag}.json"
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Write via a temporary file in the same directory and os.replace, so a
+    reader never sees a partly written file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_vf(args) -> int:
     if args.command == "search":
         p_filter = _parse_prime_arg(args.p)
+        if isinstance(p_filter, int) and not is_prime(p_filter):
+            print(f"--p {p_filter} is not a prime", file=sys.stderr)
+            return EXIT_USAGE
         cache = _cache_path(args, p_filter)
         result = None
         if cache and cache.exists():
             try:
-                result = vfsearch.search_result_from_cache(json.loads(cache.read_text()))
-            except (ValueError, KeyError):
-                result = None
+                payload = json.loads(cache.read_text())
+                result = vfsearch.search_result_from_cache(payload, p_filter)
+            except (ValueError, KeyError, TypeError):
+                result = None  # stale, foreign or damaged: recompute and overwrite
         if result is None:
             result = vfsearch.enumerate_hits(p_filter=p_filter, jobs=args.jobs)
             if cache:
-                cache.parent.mkdir(parents=True, exist_ok=True)
-                cache.write_text(
-                    json.dumps(vfsearch.search_cache_payload(result, p_filter), sort_keys=True)
+                _write_atomically(
+                    cache, json.dumps(vfsearch.search_cache_payload(result, p_filter), sort_keys=True)
                 )
         families = vfsearch.filter_hits(result)
         problems = vfsearch.matches_pinned_classification(result, families, p_filter)

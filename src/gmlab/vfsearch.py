@@ -19,19 +19,28 @@ theorem for the fivefold sections:
      equal kernel dimensions over QQ and GF(p), so mod-p solutions of those
      shapes lift to characteristic zero.
 
-The determinant sweep is vectorized with numpy (int64 is exact here: entries
-are at most 2, so |det| <= 88 by Hadamard); everything downstream of the
-sweep is exact integer arithmetic.
+The determinant sweep is vectorized with numpy and exact in int64.  It
+expands each determinant along the subset's first two rows (Laplace, 2+3)
+into 10 products (signed 2x2 minor of the two rows) x (3x3 minor of the
+other three on the complementary columns), from minors of all C(45,2) row
+pairs and C(45,3) row triples tabulated once per sweep.  With entries
+|e| <= c, a 2x2 minor is at most 2c^2, a 3x3 minor 6c^3, a product 12c^5 and
+the sum 120c^5, below 2^63 for any c < 2^11; for E (c = 2, entries >= 0,
+so a 2x2 minor is at most 4) they are 4, 48, 192 and 1920.  Hadamard bounds
+the determinant by 88 (rows have norm at most sqrt 6), which the sweep
+checks.  Everything downstream of the sweep is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exact import PrimeField, ZZ, primes_upto, PolyRing, QuadExtRing
+from .exact import PrimeField, ZZ, is_prime, primes_upto, PolyRing, QuadExtRing
 from .exact import _rank_bareiss, _rank_modp
 from .linalg import det_nodiv
 from . import pluecker
@@ -39,7 +48,9 @@ from .pluecker import MONOMIALS, QuadricForm, mono, mono_weight, pluecker_quadri
 
 N_ROWS = 45
 SUBSET_COUNT = 1221759  # C(45, 5)
-TRIAL_PRIME_BOUND = 200
+DET_BOUND = 88  # Hadamard: five rows of norm at most sqrt 6, 6^(5/2) < 89
+PRIME_BOUND = 200  # the default prime range is 5..PRIME_BOUND
+CACHE_SCHEMA = "gmlab/1"
 
 
 class LemmaViolation(Exception):
@@ -98,32 +109,24 @@ def build_E() -> EMatrix:
     for w in sorted(disjoint):
         rows.append(w)
         mono_lists.append(tuple(sorted(disjoint[w])))
-    assert len(rows) == N_ROWS
+    if len(rows) != N_ROWS:
+        raise RuntimeError(f"built {len(rows)} weight rows, expected {N_ROWS}")
     return EMatrix(tuple(rows), tuple(mono_lists))
 
 
-def monomial_weight_rows() -> list[tuple[int, ...]]:
-    """Weight row of each of the 55 monomials, squares halved."""
-    out = []
-    for m in MONOMIALS:
-        w = mono_weight(m)
-        if pluecker.is_square(m):
-            w = tuple(v // 2 for v in w)
-        out.append(w)
-    return out
+# weight row of each of the 55 monomials, squares halved
+_MONOMIAL_WEIGHTS = np.array(
+    [
+        tuple(v // 2 for v in mono_weight(m)) if pluecker.is_square(m) else mono_weight(m)
+        for m in MONOMIALS
+    ],
+    dtype=np.int64,
+)
 
 
 # ----------------------------------------------------------------------
 # search data structures
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    p: int
-    a: tuple  # kernel representative, first nonzero entry scaled to 1
-    witness: tuple  # 5-subset of E row indices
-    monomials: frozenset  # M_A
 
 
 @dataclass
@@ -133,11 +136,7 @@ class HitGroup:
     p: int
     a: tuple
     monomials: frozenset
-    witnesses: list = field(default_factory=list)
-
-    def hits(self):
-        for w in self.witnesses:
-            yield SearchHit(self.p, self.a, w, self.monomials)
+    witnesses: list
 
 
 @dataclass
@@ -177,144 +176,164 @@ def canonical_class(p: int, a) -> tuple:
 
 def monomials_killed_by(p: int, a) -> frozenset:
     """M_A: monomials whose (halved on squares) weight pairs to 0 with a."""
-    out = []
-    for m, w in zip(MONOMIALS, monomial_weight_rows()):
-        if sum(wi * int(ai) for wi, ai in zip(w, a)) % p == 0:
-            out.append(m)
-    return frozenset(out)
+    killed = _MONOMIAL_WEIGHTS @ np.array([int(v) for v in a], dtype=np.int64) % p == 0
+    return frozenset(m for m, k in zip(MONOMIALS, killed) if k)
 
 
 # ----------------------------------------------------------------------
 # vectorized determinant sweep
 # ----------------------------------------------------------------------
 
-def _perm_signs(n: int):
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return out
+# the 10 splits of the columns into a pair (a, b) and its complement triple,
+# with the Laplace sign (-1)^(a + b + 1) of rows {0, 1} against columns {a, b}
+_COL_PAIRS = np.array(list(itertools.combinations(range(5), 2)))
+_COL_TRIPLES = np.array([[c for c in range(5) if c not in pair] for pair in _COL_PAIRS])
+_SPLIT_SIGNS = np.where(_COL_PAIRS.sum(axis=1) % 2 == 0, -1, 1)
 
 
-_PERMS_5 = _perm_signs(5)
-_PERMS_4 = _perm_signs(4)
+class _LaplaceTables(NamedTuple):
+    """Minors of a k x 5 matrix for the 2+3 Laplace expansion of its
+    5-subsets.  The subsets in lex order are, for each row pair in lex
+    order, that pair followed by each row triple of `triples[suffix:]`."""
+
+    pairs: np.ndarray  # (C(k,2), 2) row pairs, lex order
+    triples: np.ndarray  # (C(k,3), 3) row triples, lex order
+    m2: np.ndarray  # (C(k,2), 10) signed 2x2 minors, one column per split
+    m3: np.ndarray  # (C(k,3), 10) complementary 3x3 minors
+    suffix: np.ndarray  # per pair (i, j): index of the first triple above j
 
 
-def _batch_det5(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (B,5,5) int64 batch."""
-    det = np.zeros(mats.shape[0], dtype=np.int64)
-    cols = [mats[:, i, :] for i in range(5)]
-    for perm, sign in _PERMS_5:
-        term = cols[0][:, perm[0]].copy()
-        for i in range(1, 5):
-            term *= cols[i][:, perm[i]]
-        if sign > 0:
-            det += term
-        else:
-            det -= term
-    return det
+def _laplace_tables(rows: np.ndarray) -> _LaplaceTables:
+    """The 2+3 Laplace tables of a k x 5 int64 matrix."""
+    k = len(rows)
+    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
+    triples = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).reshape(-1, 3)
+    a, b = _COL_PAIRS.T
+    r0, r1 = rows[pairs[:, 0]], rows[pairs[:, 1]]
+    m2 = (r0[:, a] * r1[:, b] - r0[:, b] * r1[:, a]) * _SPLIT_SIGNS
+    x, y, z = _COL_TRIPLES.T
+    t0, t1, t2 = rows[triples[:, 0]], rows[triples[:, 1]], rows[triples[:, 2]]
+    m3 = (
+        t0[:, x] * (t1[:, y] * t2[:, z] - t1[:, z] * t2[:, y])
+        - t0[:, y] * (t1[:, x] * t2[:, z] - t1[:, z] * t2[:, x])
+        + t0[:, z] * (t1[:, x] * t2[:, y] - t1[:, y] * t2[:, x])
+    )
+    suffix = np.searchsorted(triples[:, 0], pairs[:, 1] + 1)
+    return _LaplaceTables(pairs, triples, m2, m3, suffix)
+
+
+def _batch_det5(m2: np.ndarray, m3: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """Exact determinants of the 5-subsets led by the given pairs, in lex
+    order: for each pair, one product of its suffix of 3x3 minors with its
+    signed 2x2 minors."""
+    return np.concatenate([m3[s:] @ row for row, s in zip(m2, suffix)])
+
+
+def _subsets_at(t: _LaplaceTables, lo: int, hi: int, pos: np.ndarray) -> np.ndarray:
+    """Row indices (len(pos), 5) of the subsets at positions `pos` of the
+    determinants that `_batch_det5` returns for pairs lo..hi-1."""
+    suffix = t.suffix[lo:hi]
+    counts = len(t.triples) - suffix
+    ends = np.cumsum(counts)
+    k = np.searchsorted(ends, pos, side="right")
+    tri = suffix[k] + pos - (ends[k] - counts[k])
+    return np.concatenate([t.pairs[lo + k], t.triples[tri]], axis=1)
 
 
 def _batch_adjugate(mats: np.ndarray) -> np.ndarray:
-    """Exact adjugates of a (B,5,5) int64 batch: adj[j,i] = (-1)^(i+j) M_ij."""
-    B = mats.shape[0]
-    adj = np.zeros((B, 5, 5), dtype=np.int64)
-    for i in range(5):
-        rows = [r for r in range(5) if r != i]
-        for j in range(5):
-            cols = [c for c in range(5) if c != j]
-            sub = mats[:, rows, :][:, :, cols]
-            minor = np.zeros(B, dtype=np.int64)
-            subcols = [sub[:, r, :] for r in range(4)]
-            for perm, sign in _PERMS_4:
-                term = subcols[0][:, perm[0]].copy()
-                for r in range(1, 4):
-                    term *= subcols[r][:, perm[r]]
-                minor += sign * term
-            adj[:, j, i] = minor if (i + j) % 2 == 0 else -minor
-    return adj
+    """Exact adjugates of a (B,5,5) int64 batch: adj[j,i] = (-1)^(i+j) M_ij.
+    Faddeev-LeVerrier: M_1 = I, M_(k+1) = N M_k - (tr(N M_k) / k) I, the
+    division exact, and adj N = M_5.  With entries |e| <= c the max row sum
+    r = 5c gives |N M_k| <= 56 r^4 and |tr| <= 280 r^4 (k <= 4), exact in
+    int64 for c < 2^11."""
+    eye = np.eye(5, dtype=np.int64)
+    m = np.broadcast_to(eye, mats.shape)
+    for k in range(1, 5):
+        nm = mats @ m
+        m = nm - (np.trace(nm, axis1=1, axis2=2) // k)[:, None, None] * eye
+    return m
 
 
 def _parse_prime_filter(p_filter) -> list[int]:
-    """Primes to consider: None means every prime in 5..TRIAL_PRIME_BOUND."""
+    """Primes to consider: None means every prime in 5..PRIME_BOUND."""
     if p_filter is None:
-        return [p for p in primes_upto(TRIAL_PRIME_BOUND) if p >= 5]
+        return [p for p in primes_upto(PRIME_BOUND) if p >= 5]
     if isinstance(p_filter, int):
+        if not is_prime(p_filter):
+            raise ValueError(f"prime filter {p_filter} is not a prime")
         return [p_filter]
     lo, hi = p_filter
     return [p for p in primes_upto(hi) if lo <= p and p >= 5]
 
 
+def _kernels_mod_p(adjs: np.ndarray, p: int):
+    """Kernel vectors mod p: the first nonzero column of each adjugate mod p,
+    scaled to a leading 1, and a mask that is False where the adjugate is
+    0 mod p (rank below 4)."""
+    adj = adjs % p
+    nonzero_cols = adj.any(axis=1)
+    ok = nonzero_cols.any(axis=1)
+    cols = adj[np.arange(len(adj)), :, nonzero_cols.argmax(axis=1)][ok]
+    lead = cols[np.arange(len(cols)), (cols != 0).argmax(axis=1)]
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    return cols * inverse[lead][:, None] % p, ok
+
+
 def _scan_range(args):
-    """Scan one chunk of subset indices.  Returns (groups, stats)."""
-    start, stop, p_list, chunk = args
+    """Scan the subsets led by first pairs lo..hi-1.  Returns (groups, stats);
+    groups maps (p, a) to its witnesses in lex order."""
+    lo, hi, p_list = args
     E = build_E().as_array()
-    combos = np.array(chunk, dtype=np.intp)
-    mats = E[combos]  # (B, 5, 5)
-    dets = _batch_det5(mats)
+    t = _laplace_tables(E)
+    dets = _batch_det5(t.m2[lo:hi], t.m3, t.suffix[lo:hi])
     absdet = np.abs(dets)
     max_det = int(absdet.max(initial=0))
-    # |det| fits far below TRIAL_PRIME_BOUND^2, so trial division by the
-    # prime list is a complete factorization for our purposes.
-    assert max_det < TRIAL_PRIME_BOUND ** 2
+    if max_det > DET_BOUND:
+        raise RuntimeError(f"|det| = {max_det} exceeds the Hadamard bound {DET_BOUND}")
+    divisible = np.zeros(max_det + 1, dtype=bool)  # index 0 stays False: det 0 is no hit
+    for p in p_list:
+        divisible[p::p] = True
+    pos = np.nonzero(divisible[absdet])[0]
+    subsets = _subsets_at(t, lo, hi, pos)
+    hit_dets = dets[pos]
+    adjs = _batch_adjugate(E[subsets])
     groups: dict = {}
     prime_multiset: dict = {}
     violations: list = []
-    rank_checks = 0
-    interesting = np.zeros(len(chunk), dtype=bool)
     for p in p_list:
-        interesting |= (absdet % p == 0) & (dets != 0)
-    idxs = np.nonzero(interesting)[0]
-    if len(idxs):
-        adjs = _batch_adjugate(mats[idxs])
-    for pos, k in enumerate(idxs):
-        det = int(dets[k])
-        subset = tuple(int(v) for v in combos[k])
-        adj = adjs[pos]
-        for p in p_list:
-            if det % p:
-                continue
-            rank_checks += 1
-            prime_multiset[p] = prime_multiset.get(p, 0) + 1
-            adj_mod = adj % p
-            nz = np.nonzero(adj_mod.any(axis=0))[0]
-            if len(nz) == 0:
-                # rank over GF(p) dropped below 4
-                violations.append({"N": subset, "p": p})
-                continue
-            col = adj_mod[:, nz[0]]
-            first = next(int(v) for v in col if v % p)
-            inv = pow(first, p - 2, p)
-            a = tuple(int(v) * inv % p for v in col)
-            key = (p, a)
-            if key not in groups:
-                groups[key] = HitGroup(p, a, monomials_killed_by(p, a), [])
-            groups[key].witnesses.append(subset)
+        on = hit_dets % p == 0
+        if not on.any():
+            continue
+        prime_multiset[p] = int(on.sum())
+        vectors, ok = _kernels_mod_p(adjs[on], p)
+        on_subsets = subsets[on]
+        violations += [{"N": tuple(n), "p": p} for n in on_subsets[~ok].tolist()]
+        # group by the base-p digits of a; p divides some |det| <= DET_BOUND,
+        # so p^5 fits in int64, and a stable sort keeps witnesses in lex order
+        codes = vectors @ p ** np.arange(4, -1, -1)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        witnesses = np.split(on_subsets[ok][order], starts[1:])
+        for a, ws in zip(vectors[order[starts]].tolist(), witnesses):
+            groups[(p, tuple(a))] = [tuple(w) for w in ws.tolist()]
     return groups, {
-        "scanned": len(chunk),
-        "rank_checks": rank_checks,
+        "scanned": len(dets),
+        "rank_checks": sum(prime_multiset.values()),
         "prime_multiset": prime_multiset,
         "violations": violations,
     }
 
 
-def enumerate_hits(p_filter=None, jobs: int = 1, chunk_size: int = 150000) -> SearchResult:
+def enumerate_hits(p_filter=None, jobs: int = 1) -> SearchResult:
     """Scan all C(45,5) submatrices.  p_filter: None, a prime, or (lo, hi)."""
     p_list = _parse_prime_filter(p_filter)
-    combo_iter = itertools.combinations(range(N_ROWS), 5)
-    tasks = []
-    start = 0
-    while True:
-        chunk = list(itertools.islice(combo_iter, chunk_size))
-        if not chunk:
-            break
-        tasks.append((start, start + len(chunk), p_list, chunk))
-        start += len(chunk)
-    results = []
+    # contiguous ranges of first pairs (i, j), each leading about 1/jobs of
+    # the subsets: (i, j) leads C(44 - j, 3)
+    pairs = itertools.combinations(range(N_ROWS), 2)
+    led = np.cumsum([math.comb(N_ROWS - 1 - j, 3) for _, j in pairs])
+    bounds = [0, *np.searchsorted(led, led[-1] * np.arange(1, jobs) / jobs).tolist(), len(led)]
+    tasks = [(lo, hi, p_list) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if jobs > 1:
         import multiprocessing as mp
 
@@ -322,26 +341,22 @@ def enumerate_hits(p_filter=None, jobs: int = 1, chunk_size: int = 150000) -> Se
             results = pool.map(_scan_range, tasks)
     else:
         results = [_scan_range(t) for t in tasks]
-    groups: dict = {}
+    witnesses: dict = {}
     prime_multiset: dict = {}
-    violations: list = []
-    scanned = 0
-    rank_checks = 0
+    # ranges come back in lex order, so every witness list stays sorted
     for g, stats in results:
-        scanned += stats["scanned"]
-        rank_checks += stats["rank_checks"]
         for p, n in stats["prime_multiset"].items():
             prime_multiset[p] = prime_multiset.get(p, 0) + n
-        violations.extend(stats["violations"])
-        for key, grp in g.items():
-            if key not in groups:
-                groups[key] = grp
-            else:
-                groups[key].witnesses.extend(grp.witnesses)
-    for grp in groups.values():
-        grp.witnesses.sort()
-    assert scanned == SUBSET_COUNT
-    return SearchResult(groups, scanned, rank_checks, prime_multiset, violations)
+        for key, ws in g.items():
+            witnesses.setdefault(key, []).extend(ws)
+    scanned = sum(stats["scanned"] for _, stats in results)
+    if scanned != SUBSET_COUNT:
+        raise RuntimeError(f"scanned {scanned} subsets, expected {SUBSET_COUNT}")
+    groups = {
+        (p, a): HitGroup(p, a, monomials_killed_by(p, a), ws) for (p, a), ws in witnesses.items()
+    }
+    violations = [v for _, stats in results for v in stats["violations"]]
+    return SearchResult(groups, scanned, sum(prime_multiset.values()), prime_multiset, violations)
 
 
 # ----------------------------------------------------------------------
@@ -420,18 +435,6 @@ def verify_rank_lemma(p_filter=None, jobs: int = 1) -> dict:
 # ----------------------------------------------------------------------
 # the five exceptional families and their singularity certificates
 # ----------------------------------------------------------------------
-
-
-def _pt(assignments: dict):
-    """A 10-coordinate point builder: {pair: ring element}."""
-
-    def build(ring, lift):
-        point = [ring.zero] * 10
-        for pair, val in assignments.items():
-            point[pluecker.PAIR_POS[pair]] = lift(val)
-        return point
-
-    return build
 
 
 # Each family: the diagonal entries of A are -a; the monomial list is in the
@@ -884,29 +887,6 @@ def nilpotent_kernel_analysis(p: int) -> dict:
     return out
 
 
-def classification_report(p_filter=None, jobs: int = 1) -> dict:
-    """Full search + filters + certificates, as one JSON-friendly report."""
-    result = enumerate_hits(p_filter=p_filter, jobs=jobs)
-    families = filter_hits(result)
-    payload = {
-        "subsets_scanned": result.subsets_scanned,
-        "hit_pairs": result.hit_pair_count(),
-        "distinct_kernel_classes": result.distinct_class_count(),
-        "prime_multiset": dict(sorted(result.prime_multiset.items())),
-        "lemma_violations": len(result.violations),
-        "families": [
-            {
-                "p": f.p,
-                "canonical_a": list(f.a),
-                "monomial_count": len(f.monomials),
-                "witness_count": f.witness_count,
-            }
-            for f in families
-        ],
-    }
-    return payload
-
-
 # The pinned classification, established by the first audited full run and
 # cross-checked against the published family matrices.
 PINNED_CLASSIFICATION = {
@@ -956,6 +936,11 @@ def matches_pinned_classification(result: SearchResult, families, p_filter=None)
     return problems
 
 
+def _cache_filter(p_filter):
+    """A prime filter as the cache stores it (JSON has no tuples)."""
+    return p_filter if p_filter is None or isinstance(p_filter, int) else list(p_filter)
+
+
 def search_cache_payload(result: SearchResult, p_filter) -> dict:
     e = build_E()
     groups = []
@@ -972,29 +957,42 @@ def search_cache_payload(result: SearchResult, p_filter) -> dict:
             }
         )
     return {
-        "schema": "gmlab/1",
+        "schema": CACHE_SCHEMA,
         "e_hash": e.content_hash(),
-        "p_filter": p_filter if p_filter is None or isinstance(p_filter, int) else list(p_filter),
+        "p_filter": _cache_filter(p_filter),
         "subsets_scanned": result.subsets_scanned,
         "rank_checks": result.rank_checks,
         "prime_multiset": {str(k): v for k, v in sorted(result.prime_multiset.items())},
         "groups": groups,
+        "violations": [{"N": list(v["N"]), "p": v["p"]} for v in result.violations],
     }
 
 
-def search_result_from_cache(payload: dict) -> SearchResult:
+def search_result_from_cache(payload: dict, p_filter=None) -> SearchResult:
+    """The search a cache payload records; ValueError (or KeyError for a
+    missing field) unless it is a complete sweep for this weight matrix and
+    this prime filter (default: every prime) with consistent counts."""
+    if payload.get("schema") != CACHE_SCHEMA:
+        raise ValueError(f"cache schema {payload.get('schema')!r} is not {CACHE_SCHEMA!r}")
     if payload.get("e_hash") != build_E().content_hash():
         raise ValueError("cache was built against a different weight matrix")
+    if payload["p_filter"] != _cache_filter(p_filter):
+        raise ValueError(f"cache was built for prime filter {payload['p_filter']}, not {p_filter}")
+    if payload["subsets_scanned"] != SUBSET_COUNT:
+        raise ValueError(f"cache scanned {payload['subsets_scanned']} subsets, not {SUBSET_COUNT}")
     groups = {}
     for g in payload["groups"]:
-        p = g["p"]
-        a = tuple(g["a"])
-        grp = HitGroup(p, a, monomials_killed_by(p, a), [tuple(w) for w in g["witnesses"]])
-        groups[(p, a)] = grp
-    return SearchResult(
+        p, a = g["p"], tuple(g["a"])
+        witnesses = [tuple(w) for w in g["witnesses"]]
+        groups[(p, a)] = HitGroup(p, a, monomials_killed_by(p, a), witnesses)
+    result = SearchResult(
         groups,
         payload["subsets_scanned"],
-        payload.get("rank_checks", 0),
+        payload["rank_checks"],
         {int(k): v for k, v in payload["prime_multiset"].items()},
-        [],
+        [{"N": tuple(v["N"]), "p": v["p"]} for v in payload["violations"]],
     )
+    pairs = result.hit_pair_count() + len(result.violations)
+    if not result.rank_checks == sum(result.prime_multiset.values()) == pairs:
+        raise ValueError("cache counts disagree: rank checks, prime multiset, hits and violations")
+    return result

@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
 
+from gmlab import vfsearch
 from gmlab.cli import main
 
 
@@ -105,6 +107,63 @@ class TestSearchCommand:
         r2 = run_cli("vf", "search", "--p", "7", "--cache", str(cache))
         assert r2.returncode == 0
         assert r2.stdout == r.stdout
+
+    def test_cache_for_another_prime_filter_is_recomputed(self, tmp_path, capsys):
+        cache = tmp_path / "hits.json"
+        assert main(["vf", "search", "--p", "7", "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        assert main(["vf", "search", "--p", "5", "--cache", str(cache)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "PASS"
+        assert payload["prime_multiset"] == {"5": 22410}
+        assert json.loads(cache.read_text())["p_filter"] == 5
+
+    def test_range_cache_is_reused(self, tmp_path, capsys, monkeypatch):
+        # a range is stored as a JSON list but parsed as a tuple
+        cache = tmp_path / "hits.json"
+        assert main(["vf", "search", "--p", "11..13", "--cache", str(cache)]) == 0
+        first = capsys.readouterr().out
+
+        def no_sweep(**kwargs):
+            raise AssertionError("the cache should have been read")
+
+        monkeypatch.setattr(vfsearch, "enumerate_hits", no_sweep)
+        assert main(["vf", "search", "--p", "11..13", "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_cached_violations_are_reported(self, tmp_path, capsys):
+        cache = tmp_path / "hits.json"
+        assert main(["vf", "search", "--p", "13", "--cache", str(cache)]) == 0
+        payload = json.loads(cache.read_text())
+        assert payload["violations"] == []
+        # record one witness as a violation instead; the counts still agree
+        group = payload["groups"][0]
+        payload["violations"] = [{"N": group["witnesses"].pop(), "p": group["p"]}]
+        cache.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["vf", "search", "--p", "13", "--cache", str(cache)]) == 1
+        assert json.loads(capsys.readouterr().out)["problems"] == ["1 rank-lemma violations"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("violations", None), ("schema", "gmlab/0"), ("subsets_scanned", 5), ("rank_checks", 119)],
+    )
+    def test_invalid_cache_is_recomputed(self, tmp_path, capsys, field, value):
+        cache = tmp_path / "hits.json"
+        assert main(["vf", "search", "--p", "13", "--cache", str(cache)]) == 0
+        good = cache.read_text()
+        payload = json.loads(good)
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        cache.write_text(json.dumps(payload))
+        assert main(["vf", "search", "--p", "13", "--cache", str(cache)]) == 0
+        assert cache.read_text() == good
+        assert list(tmp_path.iterdir()) == [cache]
+
+    def test_composite_prime_filter_is_a_usage_error(self):
+        assert main(["vf", "search", "--p", "9"]) == 2
 
     def test_search_range_11_to_200_is_empty(self):
         r = run_cli("vf", "search", "--p", "11..200")

@@ -1,9 +1,17 @@
 """The exhaustive search, its filters, the certificates, and the nilpotent
 lifting check (including the genuine p = 5 gap)."""
 
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from gmlab.exact import PrimeField, ZZ, elementary_divisors
 from gmlab.pluecker import QuadricForm, act, action_matrix, diag_gl5
@@ -123,6 +131,60 @@ class TestEnumeration:
         assert {
             k: g.witnesses for k, g in seq.groups.items()
         } == {k: g.witnesses for k, g in par.groups.items()}
+
+
+@pytest.fixture(scope="module")
+def e_sweep():
+    """Laplace tables of E and the determinants of all its 5-subsets."""
+    t = vfsearch._laplace_tables(build_E().as_array())
+    return t, vfsearch._batch_det5(t.m2, t.m3, t.suffix)
+
+
+class TestLaplaceKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5), min_size=5, max_size=5))
+    def test_random_matrices_match_sympy(self, rows):
+        X = np.array(rows, dtype=np.int64)
+        t = vfsearch._laplace_tables(X)  # five rows: one subset, led by the pair (0, 1)
+        M = sympy.Matrix(rows)
+        assert vfsearch._batch_det5(t.m2, t.m3, t.suffix).tolist() == [M.det()]
+        assert vfsearch._batch_adjugate(X[None])[0].tolist() == M.adjugate().tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, math.comb(45, 5) - 1))
+    def test_subsets_of_E_match_sympy(self, e_sweep, pos):
+        t, dets = e_sweep
+        rows = vfsearch._subsets_at(t, 0, len(t.pairs), np.array([pos]))[0]
+        N = build_E().as_array()[rows]
+        M = sympy.Matrix(N.tolist())
+        assert dets[pos] == M.det()
+        assert vfsearch._batch_adjugate(N[None])[0].tolist() == M.adjugate().tolist()
+
+    def test_subsets_cover_C45_5_in_lex_order(self, e_sweep):
+        t, dets = e_sweep
+        subsets = vfsearch._subsets_at(t, 0, len(t.pairs), np.arange(len(dets)))
+        assert len(subsets) == math.comb(45, 5) == vfsearch.SUBSET_COUNT
+        assert subsets.min() >= 0 and subsets.max() < 45
+        assert np.all(np.diff(subsets, axis=1) > 0)
+        codes = subsets @ 45 ** np.arange(4, -1, -1)
+        assert np.all(np.diff(codes) > 0)
+
+    @pytest.mark.parametrize(
+        "corrupt, call",
+        [
+            ("v.SUBSET_COUNT += 1", "v.enumerate_hits(p_filter=13)"),
+            ("v.DET_BOUND = 40", "v.enumerate_hits(p_filter=13)"),
+            ("v.N_ROWS = 44", "v.build_E()"),
+        ],
+    )
+    def test_sweep_checks_hold_under_python_O(self, corrupt, call):
+        code = f"import gmlab.vfsearch as v\n{corrupt}\n{call}\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(vfsearch.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 1
+        assert "RuntimeError" in proc.stderr, proc.stderr
 
 
 class TestCanonicalization:
