@@ -262,10 +262,6 @@ def act_on(c: Correspondence, x: TautClass, degree_table=None) -> TautClass:
 # the honest tautological ring: Schubert calculus on Gr(2,5)
 # ----------------------------------------------------------------------
 
-PARTITIONS = tuple(
-    (a, b) for a in range(4) for b in range(a + 1)
-)  # (a, b) inside the 2 x 3 box, a >= b
-
 
 def _pieri_sigma1(part: tuple[int, int]) -> list[tuple[int, int]]:
     a, b = part

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import bott, ckmotives, gmlag, lattice, ledger, suite, vfsearch
 from .bott import BundleSpec
-from .exact import QQ, is_prime
+from .exact import QQ
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -145,12 +145,15 @@ def cmd_hodge(args) -> int:
 
 
 def _parse_prime_arg(raw: str | None):
+    """None, a prime p, or a range lo..hi; ValueError on anything else."""
     if raw is None:
         return None
-    if ".." in raw:
-        lo, hi = raw.split("..")
-        return (int(lo), int(hi))
-    return int(raw)
+    parts = raw.split("..")
+    if len(parts) > 2 or not all(part.isdigit() for part in parts):
+        raise ValueError("expected a prime p or a range lo..hi")
+    p_filter = tuple(int(part) for part in parts) if len(parts) == 2 else int(raw)
+    vfsearch._parse_prime_filter(p_filter)
+    return p_filter
 
 
 def _cache_path(args, p_filter) -> Path | None:
@@ -181,9 +184,10 @@ def _write_atomically(path: Path, text: str) -> None:
 
 def cmd_vf(args) -> int:
     if args.command == "search":
-        p_filter = _parse_prime_arg(args.p)
-        if isinstance(p_filter, int) and not is_prime(p_filter):
-            print(f"--p {p_filter} is not a prime", file=sys.stderr)
+        try:
+            p_filter = _parse_prime_arg(args.p)
+        except ValueError as exc:
+            print(f"--p {args.p}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         cache = _cache_path(args, p_filter)
         result = None

@@ -99,9 +99,6 @@ class Ring:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # hooks used by generic code
     def two_is_unit(self) -> bool:
         return self.is_unit(self.from_int(2))
@@ -418,9 +415,6 @@ class GFExt(Ring):
         if self.m == 1:
             return self.one
         return self._wrap([0, 1])
-
-    def embed_base(self, a: int):
-        return self.from_int(a)
 
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.m):

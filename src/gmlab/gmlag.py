@@ -4,11 +4,16 @@ decomposable-vector scan, and Hensel lifting of Lagrangians.
 
 Conventions.  V6 = R^6 with its standard basis; multivectors are stored as
 coordinate vectors against the lexicographic basis of wedge^k V6 (tuples of
-increasing indices).  Spans (A, W, ...) are stored as ROW matrices.  A datum
-carries an arbitrary rank-5 direct summand V5 (6x5 column matrix); all wedge
-computations use explicit minor expansions, so nothing assumes V5 is a
-coordinate subspace.  epsilon is the unit epsilon(b1 ^ ... ^ b5) against the
-stored V5 basis.
+increasing indices, `TUPLES[k]`).  Spans (A, W, ...) are stored as ROW
+matrices.  Every wedge product goes through one structure-constant table,
+`WEDGE[a, b]`: for the a-tuple s at position i, `WEDGE[a, b][i]` lists
+(j, k, sign) with e_s ^ e_t = sign * e_u, where t is the b-tuple at position
+j, u the (a+b)-tuple at position k, and sign the parity of the shuffle that
+sorts s followed by t.  Contraction is the transpose of `WEDGE[1, k-1]`, and
+the wedge of k vectors (the k x k minors of their 6 x k matrix) is a fold of
+`WEDGE[i, 1]`.  A datum carries an arbitrary rank-5 direct summand V5 (6x5
+column matrix); nothing assumes V5 is a coordinate subspace.  epsilon is the
+unit epsilon(b1 ^ ... ^ b5) against the stored V5 basis.
 """
 
 from __future__ import annotations
@@ -30,31 +35,39 @@ from . import linalg
 from .linalg import kernel, mat_vec, rank, rref, solve, transpose
 
 
-def k_tuples(k: int) -> list[tuple]:
-    return list(itertools.combinations(range(1, 7), k))
+TUPLES = [list(itertools.combinations(range(1, 7), k)) for k in range(7)]
+TRIPLES = TUPLES[3]  # 20, lexicographic
 
 
-TRIPLES = k_tuples(3)  # 20, lexicographic
-PAIRS6 = k_tuples(2)  # 15
-QUINTS = k_tuples(5)  # 6
-TRIPLE_POS = {t: i for i, t in enumerate(TRIPLES)}
-PAIR6_POS = {t: i for i, t in enumerate(PAIRS6)}
-QUINT_POS = {t: i for i, t in enumerate(QUINTS)}
+def _wedge_table(a: int, b: int) -> list[list[tuple]]:
+    pos = {u: k for k, u in enumerate(TUPLES[a + b])}
+    table = []
+    for s in TUPLES[a]:
+        row = []
+        for j, t in enumerate(TUPLES[b]):
+            if set(s).isdisjoint(t):
+                inversions = sum(x > y for x in s for y in t)
+                row.append((j, pos[tuple(sorted(s + t))], -1 if inversions % 2 else 1))
+        table.append(row)
+    return table
 
 
-def _merge_sign(a: tuple, b: tuple):
-    """Sorted union of disjoint index tuples with the permutation sign, or
-    (None, 0) when they overlap."""
-    if set(a) & set(b):
-        return None, 0
-    merged = sorted(a + b)
-    seq = list(a + b)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return tuple(merged), sign
+WEDGE = {(a, b): _wedge_table(a, b) for a in range(1, 7) for b in range(7 - a)}
+
+
+def wedge(R: Ring, x: list, a: int, y: list, b: int) -> list:
+    """x ^ y for an a-vector x and a b-vector y."""
+    out = [R.zero] * len(TUPLES[a + b])
+    for xi, row in zip(x, WEDGE[a, b]):
+        if R.is_zero(xi):
+            continue
+        for j, k, sign in row:
+            yj = y[j]
+            if R.is_zero(yj):
+                continue
+            term = R.mul(xi, yj)
+            out[k] = R.add(out[k], term) if sign > 0 else R.sub(out[k], term)
+    return out
 
 
 class RankDefect(Exception):
@@ -73,11 +86,9 @@ class CompatibilityViolation(Exception):
 def wedge_gram() -> list[list[int]]:
     """The 20x20 antisymmetric Gram of wedge: wedge^3 x wedge^3 -> wedge^6."""
     omega = [[0] * 20 for _ in range(20)]
-    for i, s in enumerate(TRIPLES):
-        for j, t in enumerate(TRIPLES):
-            merged, sign = _merge_sign(s, t)
-            if merged is not None:
-                omega[i][j] = sign
+    for i, row in enumerate(WEDGE[3, 3]):
+        for j, _, sign in row:
+            omega[i][j] = sign
     return omega
 
 
@@ -89,58 +100,33 @@ def omega_over(ring: Ring) -> list[list]:
 
 
 def wedge_vectors(ring: Ring, vecs: list) -> list:
-    """Wedge of k column vectors of R^6, as coordinates against k_tuples(k):
-    the k x k minors of the 6 x k matrix with those columns."""
-    k = len(vecs)
-    out = []
-    for rows in itertools.combinations(range(6), k):
-        sub = [[vecs[c][r] for c in range(k)] for r in rows]
-        out.append(linalg.det_nodiv(ring, sub))
+    """Wedge of k >= 1 column vectors of R^6, as coordinates against
+    TUPLES[k]: the k x k minors of the 6 x k matrix with those columns."""
+    out = list(vecs[0])
+    for i, v in enumerate(vecs[1:], 1):
+        out = wedge(ring, out, i, v, 1)
     return out
 
 
 def contract(ring: Ring, phi: list, xi: list, k: int = 3) -> list:
-    """Interior product of a covector (6 coordinates) with a k-vector."""
-    src = k_tuples(k)
-    dst = k_tuples(k - 1)
-    dst_pos = {t: i for i, t in enumerate(dst)}
-    out = [ring.zero] * len(dst)
-    for coeff, s in zip(xi, src):
-        if ring.is_zero(coeff):
+    """Interior product of a covector (6 coordinates) with a k-vector:
+    phi . e_s = sum of sign * phi_i * e_t over e_i ^ e_t = sign * e_s."""
+    out = [ring.zero] * len(TUPLES[k - 1])
+    for c, row in zip(phi, WEDGE[1, k - 1]):
+        if ring.is_zero(c):
             continue
-        for pos, idx in enumerate(s):
-            c = phi[idx - 1]
-            if ring.is_zero(c):
+        for j, s, sign in row:
+            coeff = xi[s]
+            if ring.is_zero(coeff):
                 continue
-            rest = tuple(x for x in s if x != idx)
             term = ring.mul(coeff, c)
-            if pos % 2 == 1:
-                term = ring.neg(term)
-            j = dst_pos[rest]
-            out[j] = ring.add(out[j], term)
+            out[j] = ring.add(out[j], term) if sign > 0 else ring.sub(out[j], term)
     return out
 
 
 def wedge_1_with(ring: Ring, v: list, xi: list, k: int) -> list:
     """v ^ xi for a vector v (6 coords) and a k-vector xi."""
-    src = k_tuples(k)
-    dst = k_tuples(k + 1)
-    dst_pos = {t: i for i, t in enumerate(dst)}
-    out = [ring.zero] * len(dst)
-    for coeff, s in zip(xi, src):
-        if ring.is_zero(coeff):
-            continue
-        for idx in range(1, 7):
-            c = v[idx - 1]
-            if ring.is_zero(c) or idx in s:
-                continue
-            merged, sign = _merge_sign((idx,), s)
-            term = ring.mul(c, coeff)
-            if sign < 0:
-                term = ring.neg(term)
-            j = dst_pos[merged]
-            out[j] = ring.add(out[j], term)
-    return out
+    return wedge(ring, v, 1, xi, k)
 
 
 # ----------------------------------------------------------------------
@@ -272,29 +258,10 @@ def _eps_scalar_vec(R: Ring, v5: list, epsilon, vec5: list, base=None):
     return R.mul(scalar, epsilon)
 
 
-def _eps_scalar_of_5vector(D, vec5: list):
-    return _eps_scalar_vec(D.ring, D.v5, D.epsilon, vec5)
-
-
 def _eps_of_wedge(D, v: list, w_row: list, w_row2: list, base=None):
     """eps(v ^ w ^ w') for w, w' stored as wedge^2 coordinates."""
     R = D.ring
-    vw = wedge_1_with(R, v, w_row, 2)  # 3-vector
-    vww = [R.zero] * 6
-    for coeff, t in zip(vw, TRIPLES):
-        if R.is_zero(coeff):
-            continue
-        for c2, p2 in zip(w_row2, PAIRS6):
-            if R.is_zero(c2):
-                continue
-            merged, sign = _merge_sign(t, p2)
-            if merged is None:
-                continue
-            term = R.mul(coeff, c2)
-            if sign < 0:
-                term = R.neg(term)
-            j = QUINT_POS[merged]
-            vww[j] = R.add(vww[j], term)
+    vww = wedge(R, wedge(R, v, 1, w_row, 2), 3, w_row2, 2)
     return _eps_scalar_vec(R, D.v5, D.epsilon, vww, base)
 
 
@@ -348,25 +315,10 @@ def _lagrangian_from_v0(D: GMDatum, v0: list) -> list:
     # map (xi, v0^w) |-> [ w'_j -> eps(xi ^ w'_j) + q(v0)(w . w'_j) ]
     columns = []
     for xi in w3:
-        col = []
-        for j in range(size):
-            # eps(xi ^ w'_j): xi is a 3-vector in wedge^3 V5
-            acc = [R.zero] * 6
-            for coeff, t in zip(xi, TRIPLES):
-                if R.is_zero(coeff):
-                    continue
-                for c2, p2 in zip(D.w_rows[j], PAIRS6):
-                    if R.is_zero(c2):
-                        continue
-                    merged, sign = _merge_sign(t, p2)
-                    if merged is None:
-                        continue
-                    term = R.mul(coeff, c2)
-                    if sign < 0:
-                        term = R.neg(term)
-                    acc[QUINT_POS[merged]] = R.add(acc[QUINT_POS[merged]], term)
-            col.append(_eps_scalar_vec(R, D.v5, D.epsilon, acc, base5))
-        columns.append(col)
+        # eps(xi ^ w'_j): xi is a 3-vector in wedge^3 V5
+        columns.append(
+            [_eps_scalar_vec(R, D.v5, D.epsilon, wedge(R, xi, 3, w, 2), base5) for w in D.w_rows]
+        )
     for i in range(size):
         col = [qv0[i][j] for j in range(size)]
         columns.append(col)
@@ -466,38 +418,12 @@ def _gm_from_lambda(D: LagrangianDatum, lam: list):
         lam_v = lam[i]
         mat = [[R.zero] * size for _ in range(size)]
         for a in range(size):
+            # eps( (v ^ (lam.xi_a) - lam(v) * xi_a) ^ (lam.xi_b) )
+            x = wedge(R, e_i, 1, W[a], 2)
+            if not R.is_zero(lam_v):
+                x = [R.sub(u, R.mul(lam_v, y)) for u, y in zip(x, pre[a])]
             for b in range(a, size):
-                # eps( v ^ (lam.xi_a) ^ (lam.xi_b) - lam(v) * xi_a ^ (lam.xi_b) )
-                first3 = wedge_1_with(R, e_i, W[a], 2)
-                acc = [R.zero] * 6
-                for coeff, t in zip(first3, TRIPLES):
-                    if R.is_zero(coeff):
-                        continue
-                    for c2, p2 in zip(W[b], PAIRS6):
-                        if R.is_zero(c2):
-                            continue
-                        merged, sign = _merge_sign(t, p2)
-                        if merged is None:
-                            continue
-                        term = R.mul(coeff, c2)
-                        if sign < 0:
-                            term = R.neg(term)
-                        acc[QUINT_POS[merged]] = R.add(acc[QUINT_POS[merged]], term)
-                if not R.is_zero(lam_v):
-                    for coeff, t in zip(pre[a], TRIPLES):
-                        if R.is_zero(coeff):
-                            continue
-                        for c2, p2 in zip(W[b], PAIRS6):
-                            if R.is_zero(c2):
-                                continue
-                            merged, sign = _merge_sign(t, p2)
-                            if merged is None:
-                                continue
-                            term = R.mul(R.mul(lam_v, coeff), c2)
-                            if sign < 0:
-                                term = R.neg(term)
-                            acc[QUINT_POS[merged]] = R.sub(acc[QUINT_POS[merged]], term)
-                val = _eps_scalar_vec(R, D.v5, D.epsilon, acc, base5)
+                val = _eps_scalar_vec(R, D.v5, D.epsilon, wedge(R, x, 3, W[b], 2), base5)
                 mat[a][b] = val
                 mat[b][a] = val
         qmats.append(mat)
@@ -582,11 +508,8 @@ def find_opposite_V5(D: LagrangianDatum, max_degree: int = 3):
         raise TypeError("the search runs over a finite field")
 
     def hits(F, a_rows, u):
-        v5_cols = kernel(F, [list(u)])
-        w3 = []
-        for (a, b, c) in itertools.combinations(range(5), 3):
-            w3.append(wedge_vectors(F, [v5_cols[a], v5_cols[b], v5_cols[c]]))
-        return rank(F, a_rows + w3) == 20
+        v5 = transpose(kernel(F, [list(u)]))
+        return rank(F, a_rows + wedge3_v5_rows(F, v5)) == 20
 
     own = _primitive_annihilator(base, D.v5)
     if hits(base, D.a_rows, own):
@@ -663,11 +586,7 @@ def _scan_scalar(F: Ring, ann, budget, tested):
                 return None, tested
             rows = _pattern_matrix(F, pattern, combo)
             tested += 1
-            # Plücker vector = 3x3 minors of the 3x6 matrix
-            v = []
-            for t in TRIPLES:
-                sub = [[rows[r][c - 1] for c in t] for r in range(3)]
-                v.append(linalg.det_nodiv(F, sub))
+            v = wedge_vectors(F, rows)  # the Plücker vector
             if all(F.is_zero(x) for x in mat_vec(F, ann, v)):
                 return rows, tested
     return None, tested
@@ -1069,11 +988,6 @@ def lagrangian_from_json(data: dict) -> LagrangianDatum:
     )
     D.check()
     return D
-
-
-def save_lagrangian(D: LagrangianDatum, path: str):
-    with open(path, "w") as fh:
-        json.dump(lagrangian_to_json(D), fh, indent=2)
 
 
 def load_lagrangian(path: str) -> LagrangianDatum:

@@ -43,10 +43,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def identity(ring: Ring, n: int):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-
 def rref(ring: Ring, M, unit_pivots_required: bool | None = None):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
@@ -131,21 +127,6 @@ def solve(ring: Ring, M, b, unit_pivots_required: bool | None = None):
     for r_i, c_i in enumerate(pivots):
         x[c_i] = R[r_i][n]
     return x
-
-
-def column_space_rref(ring: Ring, M, unit_pivots_required: bool | None = None):
-    """Canonical basis of the column span: RREF rows of the transpose."""
-    R, pivots = rref(ring, transpose(M), unit_pivots_required)
-    return [R[i] for i in range(len(pivots))]
-
-
-def in_span(ring: Ring, basis_rows, v) -> bool:
-    """Is v in the row span of basis_rows?  (basis_rows need not be reduced.)"""
-    if not basis_rows:
-        return all(ring.is_zero(x) for x in v)
-    before = rank(ring, list(basis_rows))
-    after = rank(ring, list(basis_rows) + [list(v)])
-    return before == after
 
 
 def det_nodiv(ring: Ring, M):

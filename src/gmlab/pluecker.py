@@ -109,9 +109,6 @@ class QuadricForm:
     def __eq__(self, other):
         return isinstance(other, QuadricForm) and self.sub(other).is_zero()
 
-    def monomial_set(self) -> frozenset:
-        return frozenset(self.coeffs)
-
     def evaluate(self, point: Sequence):
         """Value at a 10-vector of Plücker coordinates (ring elements)."""
         R = self.ring

@@ -261,6 +261,8 @@ def _parse_prime_filter(p_filter) -> list[int]:
     if isinstance(p_filter, int):
         if not is_prime(p_filter):
             raise ValueError(f"prime filter {p_filter} is not a prime")
+        if p_filter < 5:
+            raise ValueError(f"prime filter {p_filter} is below 5, where the search is not defined")
         return [p_filter]
     lo, hi = p_filter
     return [p for p in primes_upto(hi) if lo <= p and p >= 5]

@@ -55,9 +55,6 @@ class Weight:
         return f"Weight{self.rep}"
 
 
-ZERO_WEIGHT = Weight((0, 0, 0, 0, 0))
-
-
 class WeylElem:
     """Permutation of {1..5}, stored in one-line notation (images of 1..5),
     with its length = inversion count."""
@@ -89,12 +86,6 @@ class WeylElem:
     def compose(self, other: "WeylElem") -> "WeylElem":
         """(self*other)(i) = self(other(i))."""
         return WeylElem(tuple(self.img[other.img[i] - 1] for i in range(5)))
-
-    def inverse(self) -> "WeylElem":
-        inv = [0] * 5
-        for i in range(5):
-            inv[self.img[i] - 1] = i + 1
-        return WeylElem(inv)
 
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
@@ -171,9 +162,6 @@ def simple_pairing(lam: Weight, i: int) -> int:
     return pairing(lam, (i, i + 1))
 
 
-POSITIVE_ROOTS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
-
-
 def dot_act(w: WeylElem, lam: Weight) -> Weight:
     """w . lambda = w(lambda + rho) - rho."""
     shifted = tuple(a + r for a, r in zip(lam.rep, RHO))
@@ -196,13 +184,6 @@ def sorting_word(lam: Weight) -> tuple[WeylElem, tuple[int, ...]]:
     w = WeylElem(img)
     v = tuple(shifted[i] for i in order)
     return w, v
-
-
-def in_closed_alcove_spread(lam: Weight, p: int) -> bool:
-    """After sorting, w.lambda lies in the closed p-alcove iff the spread of
-    lambda+rho is at most p."""
-    _, v = sorting_word(lam)
-    return v[0] - v[-1] <= p
 
 
 def weyl_dim(mu: Weight) -> int:

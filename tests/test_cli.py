@@ -165,6 +165,21 @@ class TestSearchCommand:
     def test_composite_prime_filter_is_a_usage_error(self):
         assert main(["vf", "search", "--p", "9"]) == 2
 
+    @pytest.mark.parametrize("raw", ["abc", "5..", "7..x", "..11", "5..7..11", "-5"])
+    def test_malformed_prime_filter_is_a_usage_error(self, raw, capsys):
+        assert main(["vf", "search", "--p", raw]) == 2
+        err = capsys.readouterr().err
+        assert "expected a prime p or a range lo..hi" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ["2", "3"])
+    def test_prime_below_5_is_a_usage_error(self, raw, capsys):
+        assert main(["vf", "search", "--p", raw]) == 2
+        assert "below 5" in capsys.readouterr().err
+
+    def test_prime_below_5_is_rejected_by_the_search(self):
+        with pytest.raises(ValueError, match="below 5"):
+            vfsearch._parse_prime_filter(3)
+
     def test_search_range_11_to_200_is_empty(self):
         r = run_cli("vf", "search", "--p", "11..200")
         assert r.returncode == 0, r.stdout

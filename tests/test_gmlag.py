@@ -1,16 +1,30 @@
 """The GM/Lagrangian correspondence, scans, and lifting."""
 
+import itertools
+import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation
 
-from gmlab.exact import GFExt, IntegersModPK, PrimeField, QQ
+from gmlab.exact import GFExt, IntegersModPK, PrimeField, QQ, ZZ
 from gmlab.gmlag import (
     CompatibilityViolation,
+    GMDatum,
     LagrangianDatum,
+    OMEGA_INT,
     RankDefect,
     TRIPLES,
+    _echelon_patterns,
+    _field_tower,
+    _free_count,
+    _pattern_matrix,
+    _random_element,
     _row_span_canonical,
+    _scan_numpy,
+    _scan_scalar,
     _standard_v5,
     canonical_wq,
     contract,
@@ -26,12 +40,13 @@ from gmlab.gmlag import (
     random_lagrangian,
     scan_decomposables,
     sum_dot,
+    wedge,
     wedge3_v5_rows,
     wedge_gram,
     wedge_vectors,
 )
 from gmlab.exact import det_bareiss
-from gmlab.linalg import mat_vec, rank
+from gmlab.linalg import det_nodiv, kernel, mat_mul, mat_vec, rank, solve, transpose
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -79,6 +94,41 @@ class TestWedgeMachinery:
         om = wedge_gram()
         assert all(om[i][j] == -om[j][i] for i in range(20) for j in range(20))
         assert det_bareiss(om) == 1  # Pfaffian is therefore +-1
+
+    def test_omega_entries_are_permutation_signs(self):
+        for i, s in enumerate(TRIPLES):
+            for j, t in enumerate(TRIPLES):
+                if set(s) & set(t):
+                    assert OMEGA_INT[i][j] == 0
+                else:
+                    assert OMEGA_INT[i][j] == Permutation([x - 1 for x in s + t]).signature()
+
+    def test_wedge_vectors_are_sympy_minors(self):
+        rng = random.Random(21)
+        for k in range(2, 6):
+            for _ in range(4):
+                cols = [[rng.randrange(-3, 4) for _ in range(6)] for _ in range(k)]
+                m = sympy.Matrix(6, k, lambda r, c: cols[c][r])
+                minors = [
+                    int(m.extract(list(rows), list(range(k))).det())
+                    for rows in itertools.combinations(range(6), k)
+                ]
+                assert wedge_vectors(ZZ, cols) == minors
+
+    def test_wedge_is_associative_and_graded_commutative(self):
+        rng = random.Random(22)
+
+        def vec(a):
+            return [rng.randrange(7) for _ in range(math.comb(6, a))]
+
+        for a in range(1, 6):
+            for b in range(1, 7 - a):
+                x, y = vec(a), vec(b)
+                xy, yx = wedge(F7, x, a, y, b), wedge(F7, y, b, x, a)
+                assert xy == (yx if a * b % 2 == 0 else [F7.neg(v) for v in yx])
+                for c in range(1, 7 - a - b):
+                    z = vec(c)
+                    assert wedge(F7, xy, a + b, z, c) == wedge(F7, x, a, wedge(F7, y, b, z, c), b + c)
 
 
 class TestDataValidation:
@@ -156,8 +206,6 @@ class TestDecomposableScan:
         plk = []
         for t in TRIPLES:
             sub = [[rows[r][c - 1] for c in t] for r in range(3)]
-            from gmlab.linalg import det_nodiv
-
             plk.append(det_nodiv(F, sub))
         assert rank(F, list(D.a_rows) + [plk]) == 10
 
@@ -169,10 +217,59 @@ class TestDecomposableScan:
         if res["witness_rows"] is None:
             assert res["exhausted"] is False
 
+    def test_pattern_matrix_is_reduced_echelon(self):
+        v = [1, 2, 3, 4, 0, 1]
+        assert _pattern_matrix(F5, (0, 2, 4), v) == [
+            [1, v[0], 0, v[1], 0, v[2]],
+            [0, 0, 1, v[3], 0, v[4]],
+            [0, 0, 0, 0, 1, v[5]],
+        ]
+
+    @pytest.mark.parametrize("ring,pattern_no,combo_no", [(PrimeField(3), 4, 100), (F9, 0, 40)])
+    def test_scans_find_the_planted_subspace_in_enumeration_order(self, ring, pattern_no, combo_no):
+        # the annihilator of one Plücker line: the first hit of the scan is
+        # that subspace, at its position in the enumeration
+        patterns = _echelon_patterns()
+        pattern = patterns[pattern_no]
+        elements = list(ring.elements())
+        free = itertools.product(elements, repeat=_free_count(pattern))
+        target = _pattern_matrix(ring, pattern, next(itertools.islice(free, combo_no, None)))
+        ann = kernel(ring, [wedge_vectors(ring, target)])
+        position = sum(len(elements) ** _free_count(p) for p in patterns[:pattern_no]) + combo_no + 1
+        assert _scan_scalar(ring, ann, 10**6, 0) == (target, position)
+        if isinstance(ring, PrimeField):
+            # the batched scan counts its whole batch as tested
+            assert _scan_numpy(ring, ann, 10**6, 0)[0] == target
+
+    def test_planted_decomposable_found_over_gf9(self):
+        rng = random.Random(3)
+        D = random_lagrangian(F9, 4, rng, decomposable_free=False)
+        res = scan_decomposables(D, budget=1000, max_degree=1)
+        assert res["degree"] == 1
+        plk = wedge_vectors(F9, res["witness_rows"])
+        assert rank(F9, list(D.a_rows) + [plk]) == 10
+
+    def test_budget_reaches_the_degree_two_scan(self):
+        # a GF(3) datum with no decomposable vector: degree 1 is exhausted
+        # by the numpy scan ([6 3]_3 = 33880 subspaces), then the scalar scan
+        # over GF(9) runs until the budget is spent
+        D = random_lagrangian(PrimeField(3), 4, random.Random("perfbench/exhaustive"))
+        res = scan_decomposables(D, budget=33880 + 40, max_degree=2)
+        assert res == {"witness_rows": None, "tested": 33920, "exhausted": False}
+
+    def test_field_tower_over_gf9_embeds_a_subfield(self):
+        big, embed = _field_tower(F9, 2)
+        assert big.p == 3 and big.m == 4
+        elements = list(F9.elements())
+        images = [embed(x) for x in elements]
+        assert len(set(images)) == 9
+        for x, ex in zip(elements, images):
+            for y, ey in zip(elements, images):
+                assert embed(F9.add(x, y)) == big.add(ex, ey)
+                assert embed(F9.mul(x, y)) == big.mul(ex, ey)
+
     def test_gaussian_binomial_counts_echelon_cells(self):
         # sum over pivot patterns of q^(free cells) = the Gaussian binomial
-        from gmlab.gmlag import _echelon_patterns, _free_count
-
         for q in (2, 3, 5):
             total = sum(q ** _free_count(p) for p in _echelon_patterns())
             gauss = 1
@@ -264,3 +361,57 @@ class TestDecomposability:
         xi[TRIPLES.index((3, 4, 5))] = F5.one
         xi[TRIPLES.index((1, 2, 5))] = F5.one
         assert not is_decomposable(F5, xi)
+
+
+def _random_gl6(ring, rng):
+    while True:
+        g = [[_random_element(ring, rng) for _ in range(6)] for _ in range(6)]
+        if rank(ring, g) == 6:
+            return g
+
+
+def _wedge_power(ring, g, k):
+    """The matrix of wedge^k g against the lexicographic k-tuples: its
+    columns are the wedges of the columns of g."""
+    cols = [[g[r][c] for r in range(6)] for c in range(6)]
+    images = [wedge_vectors(ring, [cols[i - 1] for i in t]) for t in itertools.combinations(range(1, 7), k)]
+    return transpose(images)
+
+
+class TestTransport:
+    """The correspondence commutes with GL(V6): transporting a datum by g
+    moves V5 to g V5, A to wedge^3 g A and keeps epsilon; the GM datum then
+    moves W to wedge^2 g W and q to q'(e_i) = sum_j (g^-1)_{ji} q(e_j).  The
+    transported V5 is not a coordinate subspace, so the basis wedge of V5 is
+    not a unit vector."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([F5, F7, F9, QQ]),
+        st.sampled_from([3, 4, 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lagrangian_to_gm_commutes_with_gl6(self, ring, n, seed):
+        rng = random.Random(seed)
+        D = random_lagrangian(ring, n, rng)
+        g = _random_gl6(ring, rng)
+        g2, g3 = _wedge_power(ring, g, 2), _wedge_power(ring, g, 3)
+        gD = LagrangianDatum(
+            ring, n, mat_mul(ring, g, D.v5), [mat_vec(ring, g3, row) for row in D.a_rows], D.epsilon
+        )
+        gm, g_gm = lagrangian_to_gm(D), lagrangian_to_gm(gD)
+        ident = [[ring.one if i == j else ring.zero for j in range(6)] for i in range(6)]
+        g_inv = transpose([solve(ring, g, col) for col in ident])
+        q_moved = []
+        for i in range(6):
+            m = [[ring.zero] * (n + 5) for _ in range(n + 5)]
+            for j in range(6):
+                c = g_inv[j][i]
+                m = [[ring.add(x, ring.mul(c, y)) for x, y in zip(mr, qr)] for mr, qr in zip(m, gm.q[j])]
+            q_moved.append(m)
+        moved = GMDatum(
+            ring, n, gD.v5, [mat_vec(ring, g2, row) for row in gm.w_rows], q_moved, gm.epsilon
+        )
+        assert canonical_wq(g_gm) == canonical_wq(moved)
+        back = gm_to_lagrangian(g_gm)
+        assert _row_span_canonical(ring, back.a_rows) == _row_span_canonical(ring, gD.a_rows)
