@@ -488,10 +488,15 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = _load_config(args.config)
-    for key, value in config.items():
-        if hasattr(args, key) and ap.get_default(key) == getattr(args, key):
-            setattr(args, key, value)
+    # the config file sets the defaults of the chosen subcommand's flags, so
+    # a flag given on the command line still wins; then parse again
+    chosen = ap
+    while chosen._subparsers is not None:
+        action = chosen._subparsers._group_actions[0]
+        chosen = action.choices[getattr(args, action.dest)]
+    flags = {action.dest for action in chosen._actions}
+    chosen.set_defaults(**{k: v for k, v in _load_config(args.config).items() if k in flags})
+    args = ap.parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

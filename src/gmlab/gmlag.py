@@ -1,6 +1,6 @@
 """The correspondence between GM data and Lagrangian data over a field of odd
-characteristic or over Z/p^k, with the opposite-space search, the
-decomposable-vector scan, and Hensel lifting of Lagrangians.
+characteristic or over Z/p^k, with the opposite-space search, one batched
+decomposable-vector scan for every finite field, and Hensel lifting.
 
 Conventions.  V6 = R^6 with its standard basis; multivectors are stored as
 coordinate vectors against the lexicographic basis of wedge^k V6 (tuples of
@@ -477,7 +477,8 @@ def _field_tower(base: Ring, e: int) -> tuple[Ring, callable]:
             if big.is_zero(acc):
                 root = cand
                 break
-        assert root is not None
+        if root is None:
+            raise CompatibilityViolation(f"the modulus of {base!r} has no root in {big!r}")
 
         def embed(x):
             acc = big.zero
@@ -528,27 +529,21 @@ def find_opposite_V5(D: LagrangianDatum, max_degree: int = 3):
 # ----------------------------------------------------------------------
 
 
-def _membership_matrix(F: Ring, a_rows: list) -> list:
-    """Rows spanning the annihilator of the row span of A: v in span(A) iff
-    K v = 0."""
-    return kernel(F, a_rows)
-
-
 def scan_decomposables(D: LagrangianDatum, budget: int = 200000, max_degree: int = 2):
     """Scan 3-dimensional subspaces (reduced echelon representatives) of
-    F_{q^e}^6 for one whose wedge lies in A.  Exact witness or an explicitly
-    partial 'none found within budget'."""
+    F_{q^e}^6, e = 1..max_degree, for one whose wedge lies in A.  Exact
+    witness or an explicitly partial 'none found within budget'.  GF(p) and
+    GF(p^m) share one batched scan: a value is m int64 coefficient planes,
+    minors and residues are polynomial products reduced mod p and the
+    modulus, and a field where their bounds (`_plucker_block`, `_scan`) reach
+    2^63 is a ValueError.  `tested` is the 1-based enumeration position of
+    the witness (summed over the degrees), else the subspaces tested."""
     base = D.ring
     tested = 0
     for e in range(1, max_degree + 1):
         F, embed = _field_tower(base, e)
         a_rows = [[embed(v) for v in row] for row in D.a_rows]
-        ann = _membership_matrix(F, a_rows)
-        use_numpy = isinstance(F, PrimeField)
-        if use_numpy:
-            hit, tested = _scan_numpy(F, ann, budget, tested)
-        else:
-            hit, tested = _scan_scalar(F, ann, budget, tested)
+        hit, tested = _scan(F, kernel(F, a_rows), budget, tested)
         if hit is not None:
             return {"witness_rows": hit, "degree": e, "tested": tested}
         if tested >= budget:
@@ -560,12 +555,12 @@ def _echelon_patterns():
     return list(itertools.combinations(range(6), 3))
 
 
-def _pattern_matrix(F: Ring, pattern, free_vals):
+def _pattern_matrix(pattern, free_vals, zero, one):
     """The reduced echelon 3x6 matrix with the given pivots and free values."""
-    rows = [[F.zero] * 6 for _ in range(3)]
+    rows = [[zero] * 6 for _ in range(3)]
     it = iter(free_vals)
     for r, pcol in enumerate(pattern):
-        rows[r][pcol] = F.one
+        rows[r][pcol] = one
         for c in range(pcol + 1, 6):
             if c in pattern:
                 continue
@@ -577,68 +572,89 @@ def _free_count(pattern) -> int:
     return sum(1 for r, pcol in enumerate(pattern) for c in range(pcol + 1, 6) if c not in pattern)
 
 
-def _scan_scalar(F: Ring, ann, budget, tested):
-    elements = list(F.elements())
-    for pattern in _echelon_patterns():
-        nfree = _free_count(pattern)
-        for combo in itertools.product(elements, repeat=nfree):
-            if tested >= budget:
-                return None, tested
-            rows = _pattern_matrix(F, pattern, combo)
-            tested += 1
-            v = wedge_vectors(F, rows)  # the Plücker vector
-            if all(F.is_zero(x) for x in mat_vec(F, ann, v)):
-                return rows, tested
-    return None, tested
+def _pmul(x, y):
+    """Polynomials: coefficient planes (arrays or ints), x^0 first; None is 0."""
+    if x is None or y is None:
+        return None
+    out = [None] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = a * b if out[i + j] is None else out[i + j] + a * b
+    return out
 
 
-def _scan_numpy(F: PrimeField, ann, budget, tested):
+def _psub(x, y):
+    # the terms of an echelon minor share their pivot factors: equal lengths
+    if x is None or y is None:
+        return x if y is None else [-b for b in y]
+    return [a - b for a, b in zip(x, y, strict=True)]
+
+
+def _plucker_block(F: Ring, pattern, digits):
+    """The Plücker vectors of a block of echelon matrices over GF(p^m) as
+    (20 m, count) int64 coefficient planes, reduced.  Row s m + i of `digits`
+    is coefficient i (x^0 first, as `GFExt` stores it) of free slot s; the
+    3x3 minors are polynomials in x (Laplace along row 0, the 2x2 minors of
+    rows 1, 2 shared, zeros skipped) whose coefficients are at most
+    6 m^2 (p-1)^3 in absolute value before reduction mod p and the modulus."""
     import numpy as np
 
-    p = F.p
-    ann_np = np.array([[int(v) % p for v in row] for row in ann], dtype=np.int64)
+    p, m, count = F.p, getattr(F, "m", 1), digits.shape[1]
+    row0, row1, row2 = _pattern_matrix(pattern, digits.reshape(-1, m, count), None, [1])
+    minors2 = {
+        (c, d): _psub(_pmul(row1[c], row2[d]), _pmul(row1[d], row2[c]))
+        for c, d in itertools.combinations(range(6), 2)
+    }
+    plk = np.zeros((20, 3 * m - 2, count), dtype=np.int64)
+    for j, (a, b, c) in enumerate(itertools.combinations(range(6), 3)):
+        rest = _psub(_pmul(row0[b], minors2[a, c]), _pmul(row0[c], minors2[a, b]))
+        for i, plane in enumerate(_psub(_pmul(row0[a], minors2[b, c]), rest) or ()):
+            plk[j, i] = plane
+    plk %= p
+    for k in range(3 * m - 3, m - 1, -1):  # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
+        plk[:, k - m:k] -= np.array(F.modulus[:m], dtype=np.int64)[:, None] * plk[:, k, None]
+        plk[:, k - m:k] %= p
+    return plk[:, :m].reshape(20 * m, count)
+
+
+def _scan(F: Ring, ann, budget, tested):
+    """First echelon subspace of F^6, F = GF(p^m), with ann . wedge = 0: pivot
+    patterns in lex order, then free values base q, first slot most
+    significant, a value's code being its index in `F.elements()`.  Residues
+    are one product per block; a coefficient is at most 20 m (p-1)^2."""
+    import numpy as np
+
+    if not isinstance(F, (PrimeField, GFExt)):
+        raise TypeError(f"the scan runs over a finite field, not {F!r}")
+    ext = isinstance(F, GFExt)
+    p, m = F.p, getattr(F, "m", 1)
+    q = p ** m
+    if max(6 * m * m * (p - 1) ** 3, 20 * m * (p - 1) ** 2) >= 2 ** 63:
+        raise ValueError(f"the scan over {F!r} overflows int64")
+    # row (t, i), column (k, l): coefficient l of x^i * ann[k][t]
+    xs = [tuple(int(i == j) for j in range(m)) for i in range(m)] if ext else [F.one]
+    res_mat = np.array([[F.mul(x, row[t]) for row in ann] for t in range(20) for x in xs], dtype=np.int64)
+    res_mat = res_mat.reshape(20 * m, -1).T
+    block = 200000 // (3 * m - 2)
     for pattern in _echelon_patterns():
         nfree = _free_count(pattern)
-        total = p ** nfree
-        block = 200000
+        total = q ** nfree
         start = 0
         while start < total:
             if tested >= budget:
                 return None, tested
             count = min(block, total - start, budget - tested)
-            idx = np.arange(start, start + count, dtype=np.int64)
-            free = np.empty((count, nfree), dtype=np.int64)
-            rem = idx.copy()
-            for k in range(nfree - 1, -1, -1):
-                free[:, k] = rem % p
+            rem = np.arange(start, start + count, dtype=np.int64)
+            digits = np.empty((nfree * m, count), dtype=np.int64)
+            for k in range(nfree * m - 1, -1, -1):
+                digits[k] = rem % p
                 rem //= p
-            mats = np.zeros((count, 3, 6), dtype=np.int64)
-            pos = 0
-            for r, pcol in enumerate(pattern):
-                mats[:, r, pcol] = 1
-                for c in range(pcol + 1, 6):
-                    if c in pattern:
-                        continue
-                    mats[:, r, c] = free[:, pos]
-                    pos += 1
-            # all 3x3 minors
-            plk = np.zeros((count, 20), dtype=np.int64)
-            for j, t in enumerate(TRIPLES):
-                cols = [t[0] - 1, t[1] - 1, t[2] - 1]
-                a = mats[:, :, cols]
-                det = (
-                    a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-                    - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-                    + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-                )
-                plk[:, j] = det % p
-            residues = (plk @ ann_np.T) % p
-            good = np.nonzero(~residues.any(axis=1))[0]
-            tested += count
+            good = np.flatnonzero(~((res_mat @ _plucker_block(F, pattern, digits)) % p).any(axis=0))
             if len(good):
                 k = int(good[0])
-                rows = [[int(mats[k, r, c]) % p for c in range(6)] for r in range(3)]
-                return rows, tested
+                free = [tuple(d) if ext else d[0] for d in digits[:, k].reshape(nfree, m).tolist()]
+                return _pattern_matrix(pattern, free, F.zero, F.one), tested + k + 1
+            tested += count
             start += count
     return None, tested
 
@@ -706,7 +722,8 @@ def _base_sublattice(ring: Ring, v5: list, n: int, decomposable_free: bool) -> l
             for c, row in zip(coeffs, chosen):
                 s = ring.from_int(c)
                 combo = [ring.add(x, ring.mul(s, y)) for x, y in zip(combo, row)]
-            assert not is_decomposable(ring, combo), "starter sublattice has a decomposable"
+            if is_decomposable(ring, combo):
+                raise CompatibilityViolation("starter sublattice has a decomposable")
     return chosen
 
 
@@ -806,13 +823,15 @@ def lift_lagrangian(D: LagrangianDatum, k: int, instrument: list | None = None) 
     L_coords = []
     for row in L_rows_p:
         sol = solve(Fp, [[w3_p[j][i] for j in range(10)] for i in range(20)], list(row))
-        assert sol is not None
+        if sol is None:
+            raise RankDefect("A cap wedge^3 V5 does not lie in wedge^3 V5")
         L_coords.append([int(v) % Rk.modulus for v in sol])
     L_rows = [
         _combo(Rk, coords, w3_k) for coords in L_coords
     ]
-    r = len(L_rows)  # 5 - n
-    assert r == 5 - D.n
+    r = len(L_rows)
+    if r != 5 - D.n:
+        raise RankDefect(f"A cap wedge^3 V5 has rank {r}, not 5 - n = {5 - D.n}")
 
     # L-perp over Z/p^k and a complement C of L inside it
     if r:
@@ -896,7 +915,8 @@ def lift_lagrangian(D: LagrangianDatum, k: int, instrument: list | None = None) 
         s *= 2
     Mt_psi = linalg.mat_mul(Rk, transpose(M), psi)
     defect = linalg.mat_mul(Rk, Mt_psi, M)
-    assert all(Rk.is_zero(v) for row in defect for v in row), "isotropy not exact"
+    if not all(Rk.is_zero(v) for row in defect for v in row):
+        raise CompatibilityViolation("isotropy not exact after the Hensel steps")
 
     a_rows = [list(row) for row in L_rows]
     for j in range(5 + D.n):

@@ -192,3 +192,33 @@ class TestSearchCommand:
         assert r.returncode == 0
         payload = json.loads(r.stdout)
         assert payload["certificates"][0]["checks"]["vanishing_4x4_minors"] == 3150
+
+
+class TestConfigFile:
+    """`--config` values reach the flags of the chosen subcommand, and a flag
+    given on the command line still wins."""
+
+    @pytest.fixture
+    def gf9_datum(self, tmp_path, capsys):
+        data = tmp_path / "datum.json"
+        assert main(["gm", "random", "--ring", "F9", "--n", "4", "--seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        return str(data)
+
+    @pytest.mark.parametrize("flags, tested", [([], 7), (["--budget", "11"], 11)])
+    def test_scan_budget_from_config(self, tmp_path, capsys, gf9_datum, flags, tested):
+        config = tmp_path / "g.toml"
+        config.write_text("budget = 7\n")
+        assert main(["--config", str(config), "gm", "scan", "--data", gf9_datum, *flags]) == 0
+        assert json.loads(capsys.readouterr().out) == {"witness_rows": None, "tested": tested, "exhausted": False}
+
+    @pytest.mark.parametrize("flags, samples", [([], 3), (["--samples", "4"], 4), (["--samples", "100"], 100)])
+    def test_certify_samples_and_seed_from_config(self, tmp_path, capsys, monkeypatch, flags, samples):
+        config = tmp_path / "g.toml"
+        config.write_text("samples = 3\nseed = 5\n")
+        calls = []
+        monkeypatch.setattr(
+            vfsearch, "recheck_certificate_numeric", lambda cls, samples, seed: calls.append((samples, seed)) or True
+        )
+        assert main(["--config", str(config), "vf", "certify", "--family", "1", *flags]) == 0
+        assert calls == [(samples, 5)]

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation
 
+import gmlab
 from gmlab.exact import GFExt, IntegersModPK, PrimeField, QQ, ZZ
 from gmlab.gmlag import (
     CompatibilityViolation,
@@ -21,10 +26,10 @@ from gmlab.gmlag import (
     _field_tower,
     _free_count,
     _pattern_matrix,
+    _plucker_block,
     _random_element,
     _row_span_canonical,
-    _scan_numpy,
-    _scan_scalar,
+    _scan,
     _standard_v5,
     canonical_wq,
     contract,
@@ -194,6 +199,20 @@ class TestOppositeSearch:
         assert rank(F, stacked) == 20
 
 
+def reference_scan(F, ann, budget, tested=0):
+    """The scan one subspace at a time, in the same enumeration order."""
+    elements = list(F.elements())
+    for pattern in _echelon_patterns():
+        for free in itertools.product(elements, repeat=_free_count(pattern)):
+            if tested >= budget:
+                return None, tested
+            rows = _pattern_matrix(pattern, free, F.zero, F.one)
+            tested += 1
+            if all(F.is_zero(x) for x in mat_vec(F, ann, wedge_vectors(F, rows))):
+                return rows, tested
+    return None, tested
+
+
 class TestDecomposableScan:
     def test_planted_decomposable_found(self):
         rng = random.Random(3)
@@ -219,13 +238,16 @@ class TestDecomposableScan:
 
     def test_pattern_matrix_is_reduced_echelon(self):
         v = [1, 2, 3, 4, 0, 1]
-        assert _pattern_matrix(F5, (0, 2, 4), v) == [
+        assert _pattern_matrix((0, 2, 4), v, 0, 1) == [
             [1, v[0], 0, v[1], 0, v[2]],
             [0, 0, 1, v[3], 0, v[4]],
             [0, 0, 0, 0, 1, v[5]],
         ]
 
-    @pytest.mark.parametrize("ring,pattern_no,combo_no", [(PrimeField(3), 4, 100), (F9, 0, 40)])
+    @pytest.mark.parametrize(
+        "ring,pattern_no,combo_no",
+        [(PrimeField(3), 4, 100), (F9, 0, 40), (F5, 0, 250_000), (_field_tower(F9, 2)[0], 0, 60_000)],
+    )
     def test_scans_find_the_planted_subspace_in_enumeration_order(self, ring, pattern_no, combo_no):
         # the annihilator of one Plücker line: the first hit of the scan is
         # that subspace, at its position in the enumeration
@@ -233,13 +255,47 @@ class TestDecomposableScan:
         pattern = patterns[pattern_no]
         elements = list(ring.elements())
         free = itertools.product(elements, repeat=_free_count(pattern))
-        target = _pattern_matrix(ring, pattern, next(itertools.islice(free, combo_no, None)))
+        target = _pattern_matrix(pattern, next(itertools.islice(free, combo_no, None)), ring.zero, ring.one)
         ann = kernel(ring, [wedge_vectors(ring, target)])
         position = sum(len(elements) ** _free_count(p) for p in patterns[:pattern_no]) + combo_no + 1
-        assert _scan_scalar(ring, ann, 10**6, 0) == (target, position)
-        if isinstance(ring, PrimeField):
-            # the batched scan counts its whole batch as tested
-            assert _scan_numpy(ring, ann, 10**6, 0)[0] == target
+        assert _scan(ring, ann, 10**6, 0) == (target, position)
+
+    @pytest.mark.parametrize("ring", [PrimeField(3), F5, F9, _field_tower(F9, 2)[0]], ids=repr)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.sampled_from(["random", "planted"]), st.integers(0, 2**32 - 1), st.integers(1, 700))
+    def test_scan_agrees_with_the_reference_scan(self, ring, kind, seed, budget):
+        # planted: the wedge of a plane at position <= 600, with up to three
+        # random vectors; the budgets end inside the scan's first batch
+        rng = random.Random(seed)
+        if kind == "planted":
+            pattern = _echelon_patterns()[0]
+            elements, code = list(ring.elements()), rng.randrange(600)
+            free = [elements[code // len(elements) ** (8 - s) % len(elements)] for s in range(9)]
+            a_rows = [wedge_vectors(ring, _pattern_matrix(pattern, free, ring.zero, ring.one))]
+        else:
+            a_rows = []
+        a_rows += [[_random_element(ring, rng) for _ in range(20)] for _ in range(rng.randrange(4) if a_rows else 10)]
+        ann = kernel(ring, a_rows)
+        assert _scan(ring, ann, budget, 0) == reference_scan(ring, ann, budget)
+
+    @pytest.mark.parametrize(
+        "ring", [PrimeField(3), F7, PrimeField(1149991), F9, _field_tower(F9, 2)[0]], ids=repr
+    )
+    def test_plucker_block_matches_wedge_vectors(self, ring):
+        # 30 echelon matrices per pivot pattern, their digits uniform or in
+        # {0, p - 1} (the largest minors before reduction)
+        rng = random.Random(repr(ring))
+        m = getattr(ring, "m", 1)
+        for pattern in _echelon_patterns():
+            nfree = _free_count(pattern)
+            draws = [[rng.randrange(ring.p) for _ in range(15)] + [rng.choice((0, ring.p - 1)) for _ in range(15)]
+                     for _ in range(nfree * m)]
+            digits = np.array(draws, dtype=np.int64).reshape(nfree * m, 30)
+            planes = _plucker_block(ring, pattern, digits).tolist()
+            for k in range(30):
+                free = [tuple(d) if m > 1 else d[0] for d in digits[:, k].reshape(nfree, m).tolist()]
+                want = wedge_vectors(ring, _pattern_matrix(pattern, free, ring.zero, ring.one))
+                assert [row[k] for row in planes] == [c for v in want for c in (v if m > 1 else (v,))]
 
     def test_planted_decomposable_found_over_gf9(self):
         rng = random.Random(3)
@@ -251,11 +307,21 @@ class TestDecomposableScan:
 
     def test_budget_reaches_the_degree_two_scan(self):
         # a GF(3) datum with no decomposable vector: degree 1 is exhausted
-        # by the numpy scan ([6 3]_3 = 33880 subspaces), then the scalar scan
-        # over GF(9) runs until the budget is spent
+        # ([6 3]_3 = 33880 subspaces), then the scan over GF(9) runs until
+        # the budget is spent
         D = random_lagrangian(PrimeField(3), 4, random.Random("perfbench/exhaustive"))
         res = scan_decomposables(D, budget=33880 + 40, max_degree=2)
         assert res == {"witness_rows": None, "tested": 33920, "exhausted": False}
+        res = scan_decomposables(D, budget=10**6, max_degree=1)
+        assert res == {"witness_rows": None, "tested": 33880, "exhausted": True}
+
+    def test_scan_rejects_fields_beyond_int64(self):
+        # 6 (p-1)^3 < 2^63 <= 6 (p'-1)^3 for these neighbouring primes
+        assert _scan(PrimeField(1149991), [[1] * 20], 10, 0) == (None, 10)
+        with pytest.raises(ValueError, match="int64"):
+            _scan(PrimeField(1200007), [[1] * 20], 10, 0)
+        with pytest.raises(TypeError, match="finite field"):
+            _scan(QQ, [[QQ.one] * 20], 10, 0)
 
     def test_field_tower_over_gf9_embeds_a_subfield(self):
         big, embed = _field_tower(F9, 2)
@@ -331,6 +397,25 @@ class TestLifting:
         D = random_lagrangian(F5, 3, rng)
         lifted = lift_lagrangian(D, 3)
         assert len(intersection_with_wedge3_v5(lifted)) == 2
+
+
+    def test_isotropy_check_holds_under_python_O(self):
+        # doubled Hensel corrections leave the isotropy defect in place
+        code = """
+import random
+import gmlab.gmlag as g
+from gmlab.exact import IntegersModPK, PrimeField
+solve = g.solve
+def doubled(R, A, b, **kw):
+    x = solve(R, A, b, **kw)
+    return [R.add(v, v) for v in x] if isinstance(R, IntegersModPK) and x is not None else x
+g.solve = doubled
+g.lift_lagrangian(g.random_lagrangian(PrimeField(5), 4, random.Random(1)), 3)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmlab.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "CompatibilityViolation: isotropy not exact" in proc.stderr, proc.stderr
 
 
 class TestSerialization:
